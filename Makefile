@@ -34,7 +34,7 @@ ALERTS_SMOKE_DIR ?= alerts-smoke-logs
 # STATICCHECK is the staticcheck binary `make check` uses when present.
 STATICCHECK ?= staticcheck
 
-.PHONY: all build test race vet fmt staticcheck check bench bench-smoke trace-smoke fuzz chaos soak node-smoke catchup-smoke bench-cluster ingress-smoke alerts-smoke
+.PHONY: all build test race vet fmt staticcheck paybench-check check bench bench-smoke trace-smoke fuzz chaos soak node-smoke catchup-smoke bench-cluster ingress-smoke alerts-smoke
 
 all: check
 
@@ -67,9 +67,16 @@ staticcheck:
 		echo "staticcheck not installed; skipping (CI runs it pinned)"; \
 	fi
 
-# check is the full local gate: formatting, static analysis, and the race
-# detector over the whole tree. CI's push gate runs exactly this.
-check: fmt vet staticcheck race
+# paybench-check vets and short-tests the paybench module, a separate Go
+# module that compiles against the root packages: `./...` above does not
+# reach it, so an API change it depends on would otherwise go unnoticed.
+paybench-check:
+	cd paybench && $(GO) vet ./... && $(GO) test -short ./...
+
+# check is the full local gate: formatting, static analysis, the race
+# detector over the whole tree, and the paybench module's build. CI's
+# push gate runs exactly this.
+check: fmt vet staticcheck race paybench-check
 
 bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkSCPRound|BenchmarkBaseline|BenchmarkVerifyTxSet|BenchmarkApplyTxSetParallel|BenchmarkBucketRehash' -count 3 .

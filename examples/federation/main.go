@@ -110,9 +110,9 @@ func report(sim *experiments.SimNetwork) {
 			hi = seq
 		}
 	}
-	m := sim.MergedMetrics()
+	m := sim.Summary()
 	fmt.Printf("  ledgers closed: min %d, max %d across validators; close interval mean %.2fs; %.1f tx/ledger\n",
-		lo, hi, m.CloseInterval.Mean().Seconds(), m.TxPerLedger.Mean())
+		lo, hi, m.CloseInterval.Mean.Seconds(), m.TxPerLedger.Mean)
 }
 
 func orgsOf(sim *experiments.SimNetwork, names []string, perOrg int) []quorum.Org {

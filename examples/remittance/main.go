@@ -33,7 +33,9 @@ func main() {
 	sim.Start()
 	node := sim.Nodes[0]
 	networkID := sim.NetworkID
+	recordClose := node.OnLedgerClose // keep the per-close record going
 	node.OnLedgerClose = func(h *ledger.Header, results []ledger.TxResult) {
+		recordClose(h, results)
 		for _, r := range results {
 			if !r.Success {
 				fmt.Printf("  ! tx failed in ledger %d: %s %v\n", h.LedgerSeq, r.Err, r.OpErrors)

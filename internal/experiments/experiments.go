@@ -47,18 +47,21 @@ func measure(opts Options, label string, x float64, ledgers int) (LatencyRow, er
 	if err := s.CheckAgreement(); err != nil {
 		return LatencyRow{}, err
 	}
-	m := s.MergedMetrics()
-	row := LatencyRow{
-		Label:        label,
-		X:            x,
-		Nomination:   m.Nomination.Mean(),
-		Balloting:    m.Balloting.Mean(),
-		LedgerUpdate: m.LedgerUpdate.Mean(),
-		CloseMean:    m.CloseInterval.Mean(),
-		TxPerLedger:  m.TxPerLedger.Mean(),
-		Ledgers:      m.CloseInterval.N(),
-	}
+	row := latencyRow(s.Summary())
+	row.Label, row.X = label, x
 	return row, nil
+}
+
+// latencyRow fills a row's measured columns from a run summary.
+func latencyRow(m Summary) LatencyRow {
+	return LatencyRow{
+		Nomination:   m.Nomination.Mean,
+		Balloting:    m.Balloting.Mean,
+		LedgerUpdate: m.LedgerUpdate.Mean,
+		CloseMean:    m.CloseInterval.Mean,
+		TxPerLedger:  m.TxPerLedger.Mean,
+		Ledgers:      m.CloseInterval.N,
+	}
 }
 
 // BaselineResult is the §7.3 baseline: 100k accounts, 4 validators,
@@ -86,22 +89,16 @@ func RunBaseline(accounts int, ledgers int) (*BaselineResult, error) {
 	if err := s.CheckAgreement(); err != nil {
 		return nil, err
 	}
-	m := s.MergedMetrics()
+	m := s.Summary()
+	row := latencyRow(m)
+	row.Label = "baseline"
 	return &BaselineResult{
-		Row: LatencyRow{
-			Label:        "baseline",
-			Nomination:   m.Nomination.Mean(),
-			Balloting:    m.Balloting.Mean(),
-			LedgerUpdate: m.LedgerUpdate.Mean(),
-			CloseMean:    m.CloseInterval.Mean(),
-			TxPerLedger:  m.TxPerLedger.Mean(),
-			Ledgers:      m.CloseInterval.N(),
-		},
-		TxPerLedgerMean:  m.TxPerLedger.Mean(),
-		TxPerLedgerStdev: m.TxPerLedger.Stddev(),
-		Nomination99:     m.Nomination.Percentile(99),
-		Balloting99:      m.Balloting.Percentile(99),
-		LedgerUpdate99:   m.LedgerUpdate.Percentile(99),
+		Row:              row,
+		TxPerLedgerMean:  m.TxPerLedger.Mean,
+		TxPerLedgerStdev: m.TxPerLedger.Stddev,
+		Nomination99:     m.Nomination.P99,
+		Balloting99:      m.Balloting.P99,
+		LedgerUpdate99:   m.LedgerUpdate.P99,
 	}, nil
 }
 
@@ -189,16 +186,16 @@ func RunTimeoutProfile(ledgers int) (*TimeoutProfile, error) {
 	if err := s.CheckAgreement(); err != nil {
 		return nil, err
 	}
-	m := s.MergedMetrics()
+	m := s.Summary()
 	return &TimeoutProfile{
-		Ledgers:        m.NominationTimeouts.N(),
-		Nomination75:   m.NominationTimeouts.Percentile(75),
-		Nomination99:   m.NominationTimeouts.Percentile(99),
-		NominationMax:  m.NominationTimeouts.Max(),
-		Balloting75:    m.BallotTimeouts.Percentile(75),
-		Balloting99:    m.BallotTimeouts.Percentile(99),
-		BallotingMax:   m.BallotTimeouts.Max(),
-		MeanMsgsPerLgr: m.MessagesEmitted.Mean(),
+		Ledgers:        m.NominationTimeouts.N,
+		Nomination75:   m.NominationTimeouts.P75,
+		Nomination99:   m.NominationTimeouts.P99,
+		NominationMax:  m.NominationTimeouts.Max,
+		Balloting75:    m.BallotTimeouts.P75,
+		Balloting99:    m.BallotTimeouts.P99,
+		BallotingMax:   m.BallotTimeouts.Max,
+		MeanMsgsPerLgr: m.Envelopes.Mean,
 	}, nil
 }
 
@@ -220,11 +217,11 @@ func RunMessagesPerLedger(ledgers int) (*MessagesResult, error) {
 	s.Start()
 	s.Run(time.Duration(ledgers+2) * s.Opts.LedgerInterval)
 	s.Stop()
-	m := s.MergedMetrics()
+	m := s.Summary().Envelopes
 	return &MessagesResult{
-		MeanPerLedger: m.MessagesEmitted.Mean(),
-		MaxPerLedger:  m.MessagesEmitted.Max(),
-		Ledgers:       m.MessagesEmitted.N(),
+		MeanPerLedger: m.Mean,
+		MaxPerLedger:  m.Max,
+		Ledgers:       m.N,
 	}, nil
 }
 
@@ -337,8 +334,8 @@ func scpDecisionLatency(n int) (time.Duration, uint64, error) {
 	s.Start()
 	s.Run(3 * opts.LedgerInterval)
 	s.Stop()
-	m := s.MergedMetrics()
-	lat := m.Nomination.Mean() + m.Balloting.Mean()
+	m := s.Summary()
+	lat := m.Nomination.Mean + m.Balloting.Mean
 	var msgs uint64
 	for _, node := range s.Nodes {
 		msgs += node.Overlay().FloodsSent
@@ -423,11 +420,11 @@ func RunTimeoutPolicyAblation(ledgers int) ([]AblationTimeoutRow, error) {
 		if err := s.CheckAgreement(); err != nil {
 			return nil, fmt.Errorf("policy %s: %w", p.name, err)
 		}
-		m := s.MergedMetrics()
+		m := s.Summary()
 		out = append(out, AblationTimeoutRow{
 			Policy:    p.name,
-			CloseMean: m.CloseInterval.Mean(),
-			Timeouts:  m.BallotTimeouts.Mean(),
+			CloseMean: m.CloseInterval.Mean,
+			Timeouts:  m.BallotTimeouts.Mean,
 		})
 	}
 	return out, nil
@@ -473,12 +470,11 @@ func RunOverlayComparison(validators, ledgers int) ([]OverlayRow, error) {
 		if closed == 0 {
 			return nil, fmt.Errorf("%s: no ledgers closed", mode.name)
 		}
-		m := s.MergedMetrics()
 		out = append(out, OverlayRow{
 			Strategy:       mode.name,
 			MsgsPerLedger:  float64(sent) / closed,
 			BytesPerLedger: float64(s.Net.Stats().BytesDelivered) / closed,
-			CloseMean:      m.CloseInterval.Mean(),
+			CloseMean:      s.Summary().CloseInterval.Mean,
 		})
 	}
 	return out, nil

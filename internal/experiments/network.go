@@ -14,7 +14,6 @@ import (
 	"stellar/internal/history"
 	"stellar/internal/ledger"
 	"stellar/internal/loadgen"
-	"stellar/internal/metrics"
 	"stellar/internal/obs"
 	"stellar/internal/simnet"
 	"stellar/internal/stellarcrypto"
@@ -62,11 +61,8 @@ type Options struct {
 	// BucketSpillLevel makes archiving validators keep bucket-list levels
 	// at or above the index on disk instead of in RAM (0 = all in RAM).
 	BucketSpillLevel int
-	// NominationTimeout/BallotTimeout override SCP timer policies.
-	NominationTimeout func(round int) time.Duration
-	BallotTimeout     func(counter uint32) time.Duration
-	// OverlayCacheSize tunes flood dedup (ablation).
-	OverlayCacheSize int
+	// BallotTimeout overrides the SCP ballot timer policy.
+	BallotTimeout func(counter uint32) time.Duration
 	// VerifyWorkers sizes each validator's signature-verification pool
 	// (0 = NumCPU, 1 = sequential).
 	VerifyWorkers int
@@ -84,11 +80,6 @@ type Options struct {
 	// Multicast enables the §7.5 structured-multicast extension in place
 	// of flooding (the overlay comparison experiment).
 	Multicast bool
-	// ProcessingCost is the receiver-side CPU per message (default 150µs,
-	// our measured ed25519 verify plus protocol handling). This is what
-	// makes consensus latency grow with validator count (Fig 11): more
-	// validators mean more envelopes queuing at each receiver.
-	ProcessingCost time.Duration
 	// Obs, when set, supplies the observability bundle (metric registry,
 	// trace ring, logger) for validator i. nil entries (or a nil func)
 	// leave the node on its silent defaults.
@@ -141,10 +132,13 @@ func (o *Options) defaults() {
 	if o.MaxTxSetSize == 0 {
 		o.MaxTxSetSize = 5000
 	}
-	if o.ProcessingCost == 0 {
-		o.ProcessingCost = 150 * time.Microsecond
-	}
 }
+
+// processingCost is the receiver-side CPU per message: our measured
+// ed25519 verify plus protocol handling. This is what makes consensus
+// latency grow with validator count (Fig 11): more validators mean more
+// envelopes queuing at each receiver.
+const processingCost = 150 * time.Microsecond
 
 // SimNetwork is a running simulated Stellar network.
 type SimNetwork struct {
@@ -166,16 +160,19 @@ type SimNetwork struct {
 	// Tracer is the shared span tracer when Options.Trace is set, nil
 	// otherwise.
 	Tracer *obs.Tracer
+	// Closes is validator i's per-close record, in close order: the
+	// node's LastClose after each ledger it applies. Summary reduces it.
+	Closes [][]herder.CloseStats
 }
 
 // Build constructs the network: genesis state with synthetic accounts,
 // validators with their quorum sets, overlay topology, and load generator.
 func Build(opts Options) (*SimNetwork, error) {
 	opts.defaults()
-	s := &SimNetwork{Opts: opts}
+	s := &SimNetwork{Opts: opts, Closes: make([][]herder.CloseStats, opts.Validators)}
 	s.Net = simnet.New(opts.Seed)
 	s.Net.SetLatency(simnet.UniformLatency(opts.LatencyMin, opts.LatencyMax))
-	s.Net.SetProcessingCost(opts.ProcessingCost)
+	s.Net.SetProcessingCost(processingCost)
 	if opts.DropRate > 0 {
 		s.Net.SetDropRate(opts.DropRate)
 	}
@@ -216,19 +213,17 @@ func Build(opts Options) (*SimNetwork, error) {
 
 	for i := 0; i < opts.Validators; i++ {
 		cfg := herder.Config{
-			Keys:              kps[i],
-			QSet:              opts.QSetFor(i, ids),
-			NetworkID:         s.NetworkID,
-			LedgerInterval:    opts.LedgerInterval,
-			NominationTimeout: opts.NominationTimeout,
-			BallotTimeout:     opts.BallotTimeout,
-			OverlayCacheSize:  opts.OverlayCacheSize,
-			VerifyWorkers:     opts.VerifyWorkers,
-			VerifyCacheSize:   opts.VerifyCacheSize,
-			ApplyWorkers:      opts.ApplyWorkers,
-			ApplyCheck:        opts.ApplyCheck,
-			MaxTxSetSize:      opts.MaxTxSetSize,
-			Multicast:         opts.Multicast,
+			Keys:            kps[i],
+			QSet:            opts.QSetFor(i, ids),
+			NetworkID:       s.NetworkID,
+			LedgerInterval:  opts.LedgerInterval,
+			BallotTimeout:   opts.BallotTimeout,
+			VerifyWorkers:   opts.VerifyWorkers,
+			VerifyCacheSize: opts.VerifyCacheSize,
+			ApplyWorkers:    opts.ApplyWorkers,
+			ApplyCheck:      opts.ApplyCheck,
+			MaxTxSetSize:    opts.MaxTxSetSize,
+			Multicast:       opts.Multicast,
 		}
 		if opts.Obs != nil {
 			cfg.Obs = opts.Obs(i)
@@ -263,6 +258,9 @@ func Build(opts Options) (*SimNetwork, error) {
 			return nil, err
 		}
 		node.Bootstrap(state, 0)
+		node.OnLedgerClose = func(*ledger.Header, []ledger.TxResult) {
+			s.Closes[i] = append(s.Closes[i], node.LastClose())
+		}
 		s.Nodes = append(s.Nodes, node)
 		s.Archives = append(s.Archives, cfg.Archive)
 		s.Configs = append(s.Configs, cfg)
@@ -346,37 +344,4 @@ func (s *SimNetwork) CheckAgreement() error {
 		}
 	}
 	return nil
-}
-
-// MergedMetrics combines all nodes' metrics into one view.
-func (s *SimNetwork) MergedMetrics() *metrics.NodeMetrics {
-	out := &metrics.NodeMetrics{}
-	for _, n := range s.Nodes {
-		m := n.Metrics
-		for _, v := range m.Nomination.Samples() {
-			out.Nomination.Add(v)
-		}
-		for _, v := range m.Balloting.Samples() {
-			out.Balloting.Add(v)
-		}
-		for _, v := range m.LedgerUpdate.Samples() {
-			out.LedgerUpdate.Add(v)
-		}
-		for _, v := range m.CloseInterval.Samples() {
-			out.CloseInterval.Add(v)
-		}
-		for _, v := range m.TxPerLedger.Samples() {
-			out.TxPerLedger.Add(v)
-		}
-		for _, v := range m.NominationTimeouts.Samples() {
-			out.NominationTimeouts.Add(v)
-		}
-		for _, v := range m.BallotTimeouts.Samples() {
-			out.BallotTimeouts.Add(v)
-		}
-		for _, v := range m.MessagesEmitted.Samples() {
-			out.MessagesEmitted.Add(v)
-		}
-	}
-	return out
 }

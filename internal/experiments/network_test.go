@@ -39,13 +39,13 @@ func TestNetworkAppliesTransactions(t *testing.T) {
 	}
 	s.Start()
 	s.Run(60 * time.Second)
-	m := s.MergedMetrics()
-	if m.TxPerLedger.N() == 0 {
+	m := s.Summary()
+	if m.TxPerLedger.N == 0 {
 		t.Fatal("no ledgers measured")
 	}
 	// 20 tx/s over 5 s ledgers ≈ 100 tx per ledger once warmed up.
-	if m.TxPerLedger.Max() < 50 {
-		t.Fatalf("max tx/ledger = %d, expected ≥ 50", m.TxPerLedger.Max())
+	if m.TxPerLedger.Max < 50 {
+		t.Fatalf("max tx/ledger = %d, expected ≥ 50", m.TxPerLedger.Max)
 	}
 	// The generator's payments actually moved money.
 	bal := s.Nodes[0].State().BalanceOf(s.Accounts[0].ID, nativeAsset())
@@ -61,8 +61,7 @@ func TestNetworkCloseRate(t *testing.T) {
 	}
 	s.Start()
 	s.Run(120 * time.Second)
-	m := s.MergedMetrics()
-	mean := m.CloseInterval.Mean()
+	mean := s.Summary().CloseInterval.Mean
 	// §7.3: close times hover just above the 5-second target.
 	if mean < 4*time.Second || mean > 7*time.Second {
 		t.Fatalf("mean close interval %v, want ≈5s", mean)

@@ -194,7 +194,7 @@ func (n *Node) FeeStats() FeeStats {
 		PerSourceCap:  n.pool.PerSourceCap(),
 		PoolFull:      n.pool.Full(),
 		Evictions:     n.pool.Evictions(),
-		LastLedgerTxs: n.lastLedgerTxs,
+		LastLedgerTxs: n.lastClose.Txs,
 		MaxTxSetSize:  n.cfg.MaxTxSetSize,
 	}
 	if n.state != nil {

@@ -12,7 +12,6 @@ import (
 	"stellar/internal/history"
 	"stellar/internal/ledger"
 	"stellar/internal/mempool"
-	"stellar/internal/metrics"
 	"stellar/internal/obs"
 	"stellar/internal/overlay"
 	"stellar/internal/scp"
@@ -32,10 +31,9 @@ type Config struct {
 	// LedgerInterval is the target close cadence; Stellar runs SCP at
 	// 5-second intervals (§1).
 	LedgerInterval time.Duration
-	// NominationTimeout and BallotTimeout override the SCP timer
-	// policies; nil selects the stellar-core-style linear defaults.
-	NominationTimeout func(round int) time.Duration
-	BallotTimeout     func(counter uint32) time.Duration
+	// BallotTimeout overrides the SCP ballot timer policy; nil selects
+	// the stellar-core-style linear default.
+	BallotTimeout func(counter uint32) time.Duration
 	// MaxTxSetSize caps operations per ledger (surge pricing above it).
 	MaxTxSetSize int
 	// MempoolMaxTxs bounds the pending transaction pool; the cheapest
@@ -63,8 +61,6 @@ type Config struct {
 	// governance; DesiredUpgrades are the upgrades it votes for (§5.3).
 	Governing       bool
 	DesiredUpgrades []Upgrade
-	// OverlayCacheSize tunes flood dedup (0 = default).
-	OverlayCacheSize int
 	// VerifyWorkers sizes the signature-verification worker pool shared
 	// by the ledger apply prepass and bucket spill merges (0 = NumCPU,
 	// 1 = sequential).
@@ -120,9 +116,6 @@ type Node struct {
 	// pool is the bounded fee-priority pending set (admit.go holds the
 	// admission front door the horizon submit pipeline calls).
 	pool *mempool.Pool
-	// lastLedgerTxs is the transaction count of the latest close, served
-	// by FeeStats as a demand signal.
-	lastLedgerTxs int
 	// admitTimes stamps each pooled tx at admission so applyLedger can
 	// observe the end-to-end submit→applied latency. Entries leave with
 	// their tx: applied, evicted, or pruned stale.
@@ -150,14 +143,15 @@ type Node struct {
 	nextSlot  uint64
 	triggered map[uint64]bool
 
-	// Per-slot instrumentation. Metrics is the post-hoc raw-sample store
-	// the experiment tables read; obs/ins are the live registry and trace
-	// recorder behind horizon's /metrics and /debug endpoints.
-	Metrics      *metrics.NodeMetrics
+	// Per-slot instrumentation. slotStats accumulates the consensus
+	// figures of in-flight slots; each close folds its slot's entry into
+	// lastClose, the one value the registry (obs/ins, behind horizon's
+	// /metrics and /debug endpoints) is fed from.
 	obs          *obs.Obs
 	ins          *instruments
 	log          *slog.Logger
 	slotStats    map[uint64]*slotStat
+	lastClose    CloseStats
 	upgradeStats map[UpgradeKind]int64
 
 	// Causal span tracing (span.go). tr is nil when tracing is off; the
@@ -179,6 +173,36 @@ type Node struct {
 type timerKey struct {
 	slot uint64
 	kind scp.TimerKind
+}
+
+// CloseStats is one ledger close as this node measured it: the paper's
+// three §7.3 phases (nomination, balloting, ledger update) plus the
+// per-ledger counts behind Figs 8–11. applyLedger computes it once per
+// close; LastClose returns the latest.
+type CloseStats struct {
+	Seq uint32
+	// Txs is the number of transactions the ledger confirmed.
+	Txs int
+	// LedgerUpdate is the wall time spent applying the consensus value.
+	LedgerUpdate time.Duration
+	// CloseInterval is the close-time gap to the previous ledger (§7.3
+	// "close rate").
+	CloseInterval time.Duration
+	// Participated is false when the slot closed without this node
+	// running SCP for it (a value learned by catch-up); the consensus
+	// figures below are then all zero.
+	Participated bool
+	// Nomination runs from nomination start to first prepare, Balloting
+	// from first prepare to the close; each is set only when its
+	// Measured flag is (a node that joined mid-slot saw no start).
+	Nomination, Balloting                 time.Duration
+	NominationMeasured, BallotingMeasured bool
+	// NominationTimeouts and BallotTimeouts count timer expiries for the
+	// slot (Fig 8).
+	NominationTimeouts, BallotTimeouts int
+	// Envelopes counts the SCP envelopes this node broadcast for the slot
+	// (§7.2: ~6-7 logical messages per ledger).
+	Envelopes int
 }
 
 type slotStat struct {
@@ -220,7 +244,6 @@ func New(net simnet.Env, cfg Config) (*Node, error) {
 		decided:      make(map[uint64]*StellarValue),
 		timers:       make(map[timerKey]*simnet.Timer),
 		triggered:    make(map[uint64]bool),
-		Metrics:      &metrics.NodeMetrics{},
 		slotStats:    make(map[uint64]*slotStat),
 		upgradeStats: make(map[UpgradeKind]int64),
 		peersHealth:  make(map[fba.NodeID]*peerStatus),
@@ -230,7 +253,7 @@ func New(net simnet.Env, cfg Config) (*Node, error) {
 	n.updatePoolGauges() // publish mempool_capacity before any traffic
 	n.verifier = verify.New(cfg.VerifyWorkers, cfg.VerifyCacheSize)
 	n.verifier.SetObs(ob.Reg)
-	n.ov = overlay.New(net, n.addr, cfg.NetworkID, cfg.OverlayCacheSize)
+	n.ov = overlay.New(net, n.addr, cfg.NetworkID, 0)
 	n.ov.SetObs(ob.Reg, obs.Component(ob.Log, "overlay"))
 	if cfg.Multicast {
 		n.ov.SetMode(overlay.ModeTree)
@@ -250,6 +273,12 @@ func New(net simnet.Env, cfg Config) (*Node, error) {
 	net.AddNode(n.addr, simnet.HandlerFunc(n.ov.HandleMessage))
 	return n, nil
 }
+
+// LastClose returns the figures of the most recent ledger this node
+// applied (zero before the first; a ledger replayed from an archive
+// carries only Seq and Txs). An OnLedgerClose hook that keeps them builds
+// the per-close record of a run.
+func (n *Node) LastClose() CloseStats { return n.lastClose }
 
 // ID returns the validator's node ID (its public key address).
 func (n *Node) ID() fba.NodeID { return n.id }
@@ -572,33 +601,33 @@ func (n *Node) applyLedger(slot uint64, sv *StellarValue, ts *ledger.TxSet) {
 	hdr.ProtocolVersion = n.state.ProtocolVersion
 	hdr.FeePool = n.state.FeePool
 
-	// Metrics: close interval, ledger update time, tx count, per-slot
-	// consensus latencies (§7.3's three measured phases). Each sample is
-	// written twice: into the raw-sample NodeMetrics the experiment
-	// tables consume, and into the registry horizon exposes.
+	// The close's figures, computed once: the registry is fed from cs
+	// and LastClose serves it.
 	applyDur := time.Since(applyStart)
-	n.Metrics.LedgerUpdate.Add(applyDur)
-	n.Metrics.TxPerLedger.Add(len(ts.Txs))
-	n.ins.txPerLedger.Observe(float64(len(ts.Txs)))
-	n.ins.ledgersClosed.Inc()
-	prevClose := n.last.CloseTime
-	closeInterval := time.Duration(hdr.CloseTime-prevClose) * time.Second
-	n.Metrics.CloseInterval.Add(closeInterval)
-	n.ins.closeInterval.ObserveDuration(closeInterval)
+	cs := CloseStats{
+		Seq:           hdr.LedgerSeq,
+		Txs:           len(ts.Txs),
+		LedgerUpdate:  applyDur,
+		CloseInterval: time.Duration(hdr.CloseTime-n.last.CloseTime) * time.Second,
+	}
 	if st, ok := n.slotStats[slot]; ok {
+		cs.Participated = true
 		if st.sawPrepare {
+			cs.BallotingMeasured = true
+			cs.Balloting = n.net.Now() - st.firstPrepareAt
 			if st.nominateAt > 0 {
-				n.Metrics.Nomination.Add(st.firstPrepareAt - st.nominateAt)
-				n.ins.nomination.ObserveDuration(st.firstPrepareAt - st.nominateAt)
+				cs.NominationMeasured = true
+				cs.Nomination = st.firstPrepareAt - st.nominateAt
 			}
-			n.Metrics.Balloting.Add(n.net.Now() - st.firstPrepareAt)
-			n.ins.balloting.ObserveDuration(n.net.Now() - st.firstPrepareAt)
 		}
-		n.Metrics.NominationTimeouts.Add(st.nomTimeouts)
-		n.Metrics.BallotTimeouts.Add(st.ballotTimeouts)
-		n.Metrics.MessagesEmitted.Add(st.emitted)
+		cs.NominationTimeouts = st.nomTimeouts
+		cs.BallotTimeouts = st.ballotTimeouts
+		cs.Envelopes = st.emitted
 		delete(n.slotStats, slot)
 	}
+	n.lastClose = cs
+	n.ins.recordClose(cs)
+
 	// End-to-end submit→applied latency for txs this node admitted itself
 	// (the SLO engine's p99 source; floods and local submits both stamp).
 	if len(n.admitTimes) > 0 {
@@ -637,7 +666,6 @@ func (n *Node) applyLedger(slot uint64, sv *StellarValue, ts *ledger.TxSet) {
 		n.traceEvictTx(v.Hash, "stale")
 		delete(n.admitTimes, v.Hash)
 	}
-	n.lastLedgerTxs = len(ts.Txs)
 	n.updatePoolGauges()
 
 	// Prune tx sets by age: drop sets not seen within the last few

@@ -280,15 +280,21 @@ func TestMessagesPerLedgerShape(t *testing.T) {
 	// implementation keeps nomination and ballot statements separate, so
 	// allow a little headroom, but it must stay O(1), not O(n).
 	net, nodes, _ := buildPair(t, nil)
+	var closes, envelopes int
+	nodes[0].OnLedgerClose = func(*ledger.Header, []ledger.TxResult) {
+		if c := nodes[0].LastClose(); c.Participated {
+			closes++
+			envelopes += c.Envelopes
+		}
+	}
 	for _, n := range nodes {
 		n.Start()
 	}
 	net.RunFor(60 * time.Second)
-	m := nodes[0].Metrics
-	if m.MessagesEmitted.N() == 0 {
+	if closes == 0 {
 		t.Fatal("no message counts recorded")
 	}
-	mean := m.MessagesEmitted.Mean()
+	mean := float64(envelopes) / float64(closes)
 	if mean < 3 || mean > 15 {
 		t.Fatalf("messages per ledger = %.1f, expected a small constant (~7)", mean)
 	}

@@ -237,15 +237,6 @@ func (n *Node) catchupOnChunk(p *overlay.Packet) {
 		return // stale response from an earlier request
 	}
 	if p.ArchiveErr != "" {
-		// Canonical name missing on the peer: fall back to the legacy
-		// extension once, then give up on this peer.
-		if strings.HasSuffix(c.current, ".xdr") && a.PartSize(c.current) == 0 {
-			legacy := strings.TrimSuffix(c.current, ".xdr") + ".gob"
-			n.log.Info("catchup: falling back to legacy file", "path", legacy)
-			c.current = legacy
-			n.catchupRequestChunk()
-			return
-		}
 		n.log.Warn("catchup: peer refused file", "path", c.current)
 		c.retries = catchupMaxRetries + 1
 		return
@@ -277,7 +268,7 @@ func (n *Node) catchupOnChunk(p *overlay.Packet) {
 		return
 	}
 	n.ins.catchupFiles.With(fileKindLabel(c.current)).Inc()
-	if c.current == c.cpPath || strings.TrimSuffix(c.current, ".gob") == strings.TrimSuffix(c.cpPath, ".xdr") {
+	if c.current == c.cpPath {
 		if err := n.catchupPlanFromCheckpoint(); err != nil {
 			n.log.Error("catchup: fetched checkpoint unusable", "err", err)
 			c.retries = catchupMaxRetries + 1

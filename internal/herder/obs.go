@@ -23,6 +23,7 @@ type instruments struct {
 	// Consensus phase latencies (§7.3, Figs 9–11).
 	nomination    *obs.Histogram // herder_nomination_seconds
 	balloting     *obs.Histogram // herder_balloting_seconds
+	ledgerUpdate  *obs.Histogram // herder_ledger_update_seconds
 	closeInterval *obs.Histogram // herder_close_interval_seconds
 	txPerLedger   *obs.Histogram // herder_tx_per_ledger
 	ledgersClosed *obs.Counter   // herder_ledgers_closed_total
@@ -62,6 +63,8 @@ func newInstruments(reg *obs.Registry) *instruments {
 			"nomination start to first prepare (paper §7.3)", nil),
 		balloting: reg.Histogram("herder_balloting_seconds",
 			"first prepare to externalize (paper §7.3)", nil),
+		ledgerUpdate: reg.Histogram("herder_ledger_update_seconds",
+			"wall time to apply the consensus value (ledger update, §7.3)", nil),
 		closeInterval: reg.Histogram("herder_close_interval_seconds",
 			"time between consecutive ledger closes (close rate, §7.3)", nil),
 		txPerLedger: reg.Histogram("herder_tx_per_ledger",
@@ -92,6 +95,22 @@ func newInstruments(reg *obs.Registry) *instruments {
 			"catchup chunks re-requested after timeout or checksum mismatch"),
 		catchupReplayed: reg.Counter("catchup_ledgers_replayed_total",
 			"ledgers replayed from the fetched archive to reach the tip"),
+	}
+}
+
+// recordClose feeds one close's figures to the registry. Timeouts and
+// envelopes are not here: their counters tick as the events happen, by
+// kind, so a slot that never closes still shows its timeouts.
+func (ins *instruments) recordClose(cs CloseStats) {
+	ins.ledgersClosed.Inc()
+	ins.txPerLedger.Observe(float64(cs.Txs))
+	ins.ledgerUpdate.ObserveDuration(cs.LedgerUpdate)
+	ins.closeInterval.ObserveDuration(cs.CloseInterval)
+	if cs.NominationMeasured {
+		ins.nomination.ObserveDuration(cs.Nomination)
+	}
+	if cs.BallotingMeasured {
+		ins.balloting.ObserveDuration(cs.Balloting)
 	}
 }
 

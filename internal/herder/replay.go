@@ -73,7 +73,7 @@ func (n *Node) ReplayLedger(hdr *ledger.Header, ts *ledger.TxSet) error {
 	n.nextSlot = uint64(computed.LedgerSeq) + 1
 	delete(n.decided, uint64(computed.LedgerSeq))
 	delete(n.triggered, uint64(computed.LedgerSeq))
-	n.lastLedgerTxs = len(ts.Txs)
+	n.lastClose = CloseStats{Seq: computed.LedgerSeq, Txs: len(ts.Txs)}
 	n.ins.ledgersClosed.Inc()
 	n.log.Debug("ledger replayed", "seq", computed.LedgerSeq, "txs", len(ts.Txs))
 	return nil

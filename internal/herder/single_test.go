@@ -35,7 +35,10 @@ func TestSingleValidatorCloses(t *testing.T) {
 		t.Fatalf("single validator closed only %d ledgers in 10s", node.LastHeader().LedgerSeq)
 	}
 	// Each ledger should close promptly (no timeout-driven crawl).
-	if mean := node.Metrics.BallotTimeouts.Mean(); mean > 0.2 {
+	reg := node.Obs().Reg
+	timeouts := reg.CounterVec("scp_timeouts_total", "", "kind").With("ballot").Value()
+	closed := reg.Counter("herder_ledgers_closed_total", "").Value()
+	if mean := timeouts / closed; mean > 0.2 {
 		t.Fatalf("ballot timeouts per ledger = %.2f, expected ≈0", mean)
 	}
 }

@@ -35,7 +35,7 @@ const partSuffix = ".part"
 // or a fetcher may write: exactly the four known subdirectories with their
 // known file-name shapes, no separators beyond the one, no traversal.
 var relPathPattern = regexp.MustCompile(
-	`^(headers/\d{8}\.(xdr|gob)|txsets/\d{8}\.(xdr|gob)|checkpoints/(\d{8}\.(xdr|gob)|latest)|buckets/[0-9a-f]{64}\.(bucket|gob))$`)
+	`^(headers/\d{8}\.xdr|txsets/\d{8}\.xdr|checkpoints/(\d{8}\.xdr|latest)|buckets/[0-9a-f]{64}\.bucket)$`)
 
 // ValidRelPath reports whether rel is a well-formed archive-relative path.
 // Both sides enforce it: the server refuses to read outside the archive,
@@ -45,43 +45,33 @@ func ValidRelPath(rel string) bool {
 }
 
 // HeaderPath returns the archive-relative path holding the header for seq,
-// probing the canonical extension first, or ok=false if absent.
+// or ok=false if absent.
 func (a *Archive) HeaderPath(seq uint32) (string, bool) {
-	return a.probe(fmt.Sprintf("headers/%08d", seq))
+	return a.probe(fmt.Sprintf("headers/%08d.xdr", seq))
 }
 
 // TxSetPath returns the archive-relative path holding the txset for seq.
 func (a *Archive) TxSetPath(seq uint32) (string, bool) {
-	return a.probe(fmt.Sprintf("txsets/%08d", seq))
+	return a.probe(fmt.Sprintf("txsets/%08d.xdr", seq))
 }
 
 // CheckpointPath returns the archive-relative path holding the checkpoint
 // for seq.
 func (a *Archive) CheckpointPath(seq uint32) (string, bool) {
-	return a.probe(fmt.Sprintf("checkpoints/%08d", seq))
+	return a.probe(fmt.Sprintf("checkpoints/%08d.xdr", seq))
 }
 
 // BucketPath returns the archive-relative path holding the bucket with the
 // given content hash.
 func (a *Archive) BucketPath(h stellarcrypto.Hash) (string, bool) {
-	rel := "buckets/" + h.Hex() + ".bucket"
-	if _, err := os.Stat(filepath.Join(a.dir, rel)); err == nil {
-		return rel, true
-	}
-	rel = "buckets/" + h.Hex() + ".gob"
-	if _, err := os.Stat(filepath.Join(a.dir, rel)); err == nil {
-		return rel, true
-	}
-	return "", false
+	return a.probe("buckets/" + h.Hex() + ".bucket")
 }
 
-func (a *Archive) probe(base string) (string, bool) {
-	for _, ext := range []string{".xdr", ".gob"} {
-		if _, err := os.Stat(filepath.Join(a.dir, base+ext)); err == nil {
-			return base + ext, true
-		}
+func (a *Archive) probe(rel string) (string, bool) {
+	if _, err := os.Stat(filepath.Join(a.dir, rel)); err != nil {
+		return "", false
 	}
-	return "", false
+	return rel, true
 }
 
 // ReadFileChunk reads up to maxLen bytes of an archive file starting at

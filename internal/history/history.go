@@ -8,7 +8,6 @@ package history
 import (
 	"bytes"
 	"crypto/sha256"
-	"encoding/gob"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -20,26 +19,10 @@ import (
 	"stellar/internal/xdr"
 )
 
-func init() {
-	// Operations travel inside legacy gob-archived transactions as
-	// interface values; registration stays until the gob decode fallback
-	// is dropped.
-	gob.Register(&ledger.CreateAccount{})
-	gob.Register(&ledger.Payment{})
-	gob.Register(&ledger.PathPayment{})
-	gob.Register(&ledger.ManageOffer{})
-	gob.Register(&ledger.SetOptions{})
-	gob.Register(&ledger.ChangeTrust{})
-	gob.Register(&ledger.AllowTrust{})
-	gob.Register(&ledger.AccountMerge{})
-	gob.Register(&ledger.ManageData{})
-	gob.Register(&ledger.BumpSequence{})
-}
-
 // Archive is a directory-backed, append-only history archive. Headers,
 // transaction sets, and checkpoints are canonical XDR (versioned) so
-// archives are portable across Go versions and shareable between nodes;
-// files written by older releases in gob are still readable. Buckets live
+// archives are portable across Go versions and shareable between nodes.
+// Buckets live
 // in a content-addressed bucket store under buckets/ — the same format a
 // disk-backed bucket.List uses, so a node pointing its list's store at
 // the archive directory stores each bucket exactly once.
@@ -72,8 +55,8 @@ func (a *Archive) BucketStore() *disk.Store { return a.store }
 
 // Every archive file is framed as magic ‖ sha256(payload) ‖ payload, so
 // a read detects any bit rot or truncation with certainty rather than
-// relying on the payload codec to notice (gob, in particular, happily
-// decodes some single-bit flips into different values). The blob stores
+// relying on the payload codec to notice (a flipped amount or hash byte
+// still decodes, just to a different value). The blob stores
 // archives live on (§5.4) give no integrity guarantee of their own.
 const archiveMagic = "STLRHIS1"
 
@@ -149,36 +132,6 @@ func (a *Archive) readFile(rel string) ([]byte, error) {
 	return payload, nil
 }
 
-func encodeGob(v any) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		return nil, fmt.Errorf("history: encode: %w", err)
-	}
-	return buf.Bytes(), nil
-}
-
-// decodeGob decodes one archived value, treating every way a damaged
-// file can fail — decode error, trailing garbage, or a decoder panic
-// (encoding/gob panics rather than errors on some malformed streams) —
-// as a clear corruption error instead of crashing the node. Archives
-// live on remote blob stores (§5.4); bit rot and truncated uploads are
-// normal events a validator must survive.
-func decodeGob(data []byte, v any) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("history: decode: corrupted archive file: %v", r)
-		}
-	}()
-	r := bytes.NewReader(data)
-	if err := gob.NewDecoder(r).Decode(v); err != nil {
-		return fmt.Errorf("history: decode: corrupted archive file: %w", err)
-	}
-	if r.Len() != 0 {
-		return fmt.Errorf("history: decode: %d trailing bytes after value", r.Len())
-	}
-	return nil
-}
-
 // newPayload starts a versioned canonical XDR payload.
 func newPayload() *xdr.Encoder {
 	e := xdr.NewEncoder(512)
@@ -199,18 +152,6 @@ func openPayload(data []byte) (*xdr.Decoder, error) {
 	return d, nil
 }
 
-// readEither reads the canonical file if present, else the legacy gob
-// file; isGob reports which decoded. The canonical extension wins even
-// when both exist (re-archiving upgrades files in place).
-func (a *Archive) readEither(base string) (data []byte, isGob bool, err error) {
-	if _, serr := os.Stat(filepath.Join(a.dir, base+".xdr")); serr == nil {
-		data, err = a.readFile(base + ".xdr")
-		return data, false, err
-	}
-	data, err = a.readFile(base + ".gob")
-	return data, true, err
-}
-
 // PutTxSet archives the transaction set confirmed for a ledger.
 func (a *Archive) PutTxSet(seq uint32, ts *ledger.TxSet) error {
 	e := newPayload()
@@ -221,16 +162,9 @@ func (a *Archive) PutTxSet(seq uint32, ts *ledger.TxSet) error {
 // GetTxSet retrieves an archived transaction set ("there needs to be some
 // place one can look up a transaction from two years ago", §5.4).
 func (a *Archive) GetTxSet(seq uint32) (*ledger.TxSet, error) {
-	data, isGob, err := a.readEither(fmt.Sprintf("txsets/%08d", seq))
+	data, err := a.readFile(fmt.Sprintf("txsets/%08d.xdr", seq))
 	if err != nil {
 		return nil, err
-	}
-	if isGob {
-		var ts ledger.TxSet
-		if err := decodeGob(data, &ts); err != nil {
-			return nil, err
-		}
-		return &ts, nil
 	}
 	d, err := openPayload(data)
 	if err != nil {
@@ -255,27 +189,20 @@ func (a *Archive) PutHeader(h *ledger.Header) error {
 
 // GetHeader retrieves an archived header.
 func (a *Archive) GetHeader(seq uint32) (*ledger.Header, error) {
-	data, isGob, err := a.readEither(fmt.Sprintf("headers/%08d", seq))
+	data, err := a.readFile(fmt.Sprintf("headers/%08d.xdr", seq))
 	if err != nil {
 		return nil, err
 	}
-	var h *ledger.Header
-	if isGob {
-		h = &ledger.Header{}
-		if err := decodeGob(data, h); err != nil {
-			return nil, err
-		}
-	} else {
-		d, err := openPayload(data)
-		if err != nil {
-			return nil, err
-		}
-		if h, err = ledger.DecodeHeaderXDR(d); err != nil {
-			return nil, fmt.Errorf("history: decode header %08d: %w", seq, err)
-		}
-		if !d.Done() {
-			return nil, fmt.Errorf("history: header %08d: %d trailing bytes", seq, d.Remaining())
-		}
+	d, err := openPayload(data)
+	if err != nil {
+		return nil, err
+	}
+	h, err := ledger.DecodeHeaderXDR(d)
+	if err != nil {
+		return nil, fmt.Errorf("history: decode header %08d: %w", seq, err)
+	}
+	if !d.Done() {
+		return nil, fmt.Errorf("history: header %08d: %d trailing bytes", seq, d.Remaining())
 	}
 	if h.LedgerSeq != seq {
 		return nil, fmt.Errorf("history: header file %08d contains seq %d", seq, h.LedgerSeq)
@@ -289,29 +216,9 @@ func (a *Archive) PutBucket(b *bucket.Bucket) error {
 	return a.store.Put(b)
 }
 
-// GetBucket retrieves a bucket by hash, verifying integrity. Buckets
-// archived by older releases as gob files are still readable.
+// GetBucket retrieves a bucket by hash, verifying integrity.
 func (a *Archive) GetBucket(hash stellarcrypto.Hash) (*bucket.Bucket, error) {
-	if a.store.Has(hash) {
-		return a.store.Load(hash)
-	}
-	legacy := fmt.Sprintf("buckets/%s.gob", hash.Hex())
-	if _, err := os.Stat(filepath.Join(a.dir, legacy)); err != nil {
-		return a.store.Load(hash) // surface the store's not-found error
-	}
-	data, err := a.readFile(legacy)
-	if err != nil {
-		return nil, err
-	}
-	var entries []bucket.Entry
-	if err := decodeGob(data, &entries); err != nil {
-		return nil, err
-	}
-	b := bucket.NewBucket(entries)
-	if b.Hash() != hash {
-		return nil, fmt.Errorf("history: bucket %s corrupt (got %s)", hash.Hex(), b.Hash().Hex())
-	}
-	return b, nil
+	return a.store.Load(hash)
 }
 
 // Checkpoint records, for a ledger sequence, the full set of bucket hashes
@@ -398,27 +305,20 @@ func (a *Archive) LatestCheckpointSeq() (uint32, error) {
 
 // GetCheckpoint returns the checkpoint for a specific ledger.
 func (a *Archive) GetCheckpoint(seq uint32) (*Checkpoint, error) {
-	data, isGob, err := a.readEither(fmt.Sprintf("checkpoints/%08d", seq))
+	data, err := a.readFile(fmt.Sprintf("checkpoints/%08d.xdr", seq))
 	if err != nil {
 		return nil, err
 	}
-	var cp *Checkpoint
-	if isGob {
-		cp = &Checkpoint{}
-		if err := decodeGob(data, cp); err != nil {
-			return nil, err
-		}
-	} else {
-		d, err := openPayload(data)
-		if err != nil {
-			return nil, err
-		}
-		if cp, err = DecodeCheckpointXDR(d); err != nil {
-			return nil, fmt.Errorf("history: decode checkpoint %08d: %w", seq, err)
-		}
-		if !d.Done() {
-			return nil, fmt.Errorf("history: checkpoint %08d: %d trailing bytes", seq, d.Remaining())
-		}
+	d, err := openPayload(data)
+	if err != nil {
+		return nil, err
+	}
+	cp, err := DecodeCheckpointXDR(d)
+	if err != nil {
+		return nil, fmt.Errorf("history: decode checkpoint %08d: %w", seq, err)
+	}
+	if !d.Done() {
+		return nil, fmt.Errorf("history: checkpoint %08d: %d trailing bytes", seq, d.Remaining())
 	}
 	if cp.LedgerSeq != seq {
 		return nil, fmt.Errorf("history: checkpoint file %08d contains seq %d", seq, cp.LedgerSeq)

@@ -10,6 +10,7 @@ package horizon
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"strings"
 	"sync"
@@ -248,18 +249,36 @@ func (s *Server) handleOrderBook(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleMetricsJSON keeps the original JSON metrics summary, now under
-// /metrics.json (the Prometheus exposition took over /metrics).
+// /metrics.json (the Prometheus exposition took over /metrics). Every
+// figure comes from the node's registry; a mean is a histogram's sum over
+// its count, which is exact.
 func (s *Server) handleMetricsJSON(w http.ResponseWriter, r *http.Request) {
 	s.Mu.Lock()
-	defer s.Mu.Unlock()
-	m := s.Node.Metrics
+	pending := s.Node.PendingCount()
+	s.Mu.Unlock()
+	hists := make(map[string]obs.Sample)
+	for _, f := range s.Node.Obs().Reg.Snapshot() {
+		if f.Kind == obs.KindHistogram && len(f.Samples) == 1 {
+			hists[f.Name] = f.Samples[0]
+		}
+	}
+	mean := func(name string) float64 {
+		h := hists[name]
+		if h.Count == 0 {
+			return 0
+		}
+		return h.Sum / float64(h.Count)
+	}
+	meanDur := func(name string) string {
+		return time.Duration(math.Round(mean(name) * float64(time.Second))).String()
+	}
 	writeJSON(w, http.StatusOK, map[string]any{
-		"ledgers_closed":       m.CloseInterval.N(),
-		"close_interval_mean":  m.CloseInterval.Mean().String(),
-		"nomination_mean":      m.Nomination.Mean().String(),
-		"balloting_mean":       m.Balloting.Mean().String(),
-		"ledger_update_mean":   m.LedgerUpdate.Mean().String(),
-		"tx_per_ledger_mean":   m.TxPerLedger.Mean(),
-		"pending_transactions": s.Node.PendingCount(),
+		"ledgers_closed":       hists["herder_close_interval_seconds"].Count,
+		"close_interval_mean":  meanDur("herder_close_interval_seconds"),
+		"nomination_mean":      meanDur("herder_nomination_seconds"),
+		"balloting_mean":       meanDur("herder_balloting_seconds"),
+		"ledger_update_mean":   meanDur("herder_ledger_update_seconds"),
+		"tx_per_ledger_mean":   mean("herder_tx_per_ledger"),
+		"pending_transactions": pending,
 	})
 }
